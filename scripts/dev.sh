@@ -60,7 +60,7 @@ bench_smoke() {
     --benchmark-json=out/bench-smoke.json
 
   # Surface the headline ratios (vectorized trace synthesis, binary
-  # store warm reads, shared-memory IPC) in the job log so regressions
+  # store warm reads, inline IPC throughput) in the job log so regressions
   # are visible without opening the JSON artifact.
   python - out/bench-smoke.json <<'PY'
 import json
@@ -85,14 +85,14 @@ if b64 and raw:
           f"(base64 {b64 * 1e3:.1f}ms -> binary mmap {raw * 1e3:.1f}ms, "
           f"{nbytes / raw / 1e6:.0f} MB/s)")
 
-pipe = rows.get("test_bench_ipc_pipe_inline")
-shm = rows.get("test_bench_ipc_pipe_shm")
-if pipe and shm:
-    nbytes = extra["test_bench_ipc_pipe_shm"].get("payload_bytes", 0)
-    traces = extra["test_bench_ipc_pipe_shm"].get("traces", 0)
-    print(f"ipc-throughput pipe: {pipe / shm:.1f}x "
-          f"(inline {pipe * 1e3:.1f}ms -> shm {shm * 1e3:.1f}ms, "
-          f"{nbytes / shm / 1e6:.0f} MB/s, {traces / shm:.0f} traces/s)")
+for transport in ("pipe", "unix"):
+    name = f"test_bench_ipc_{transport}_inline"
+    mean = rows.get(name)
+    if mean:
+        nbytes = extra[name].get("payload_bytes", 0)
+        traces = extra[name].get("traces", 0)
+        print(f"ipc-throughput {transport}: inline {mean * 1e3:.1f}ms, "
+              f"{nbytes / mean / 1e6:.0f} MB/s, {traces / mean:.0f} traces/s")
 PY
 }
 

@@ -35,7 +35,7 @@ internal error plan is never exposed to inference-time components.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -142,6 +142,42 @@ class GenerationTrace:
 
     def branching_labels(self) -> np.ndarray:
         return np.array([s.is_branching for s in self.steps], dtype=bool)
+
+    def _rows_view_stack(self) -> bool:
+        """True when every ``step.hidden`` is exactly row ``i`` of
+        ``hidden_stack`` (same data pointer, shape and strides)."""
+        stack = self.hidden_stack
+        if stack is None or len(stack) != len(self.steps):
+            return False
+        base = stack.__array_interface__["data"][0]
+        for i, step in enumerate(self.steps):
+            row = step.hidden
+            if not (
+                isinstance(row, np.ndarray)
+                and row.dtype == stack.dtype
+                and row.shape == stack.shape[1:]
+                and row.strides == stack.strides[1:]
+                and row.__array_interface__["data"][0] == base + i * stack.strides[0]
+            ):
+                return False
+        return True
+
+    # Pickle writes each array it meets as its own copy, so the row views
+    # of a vectorized trace would double the payload and unpickle as
+    # independent arrays. Ship the stack once and re-view the rows on load.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        if self._rows_view_stack():
+            state["steps"] = [replace(step, hidden=None) for step in self.steps]
+            state["_rows_view_stack"] = True
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        rows_view_stack = state.pop("_rows_view_stack", False)
+        self.__dict__.update(state)
+        if rows_view_stack:
+            for i, step in enumerate(self.steps):
+                step.hidden = self.hidden_stack[i]
 
 
 @dataclass

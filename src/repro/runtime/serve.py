@@ -623,6 +623,11 @@ class ReproServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.app = app
 
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        # The loop sees shutdown() only between polls; the stock 0.5 s
+        # interval would make every shutdown wait up to half a second.
+        super().serve_forever(poll_interval)
+
 
 SERVE_EPILOG = """\
 examples:

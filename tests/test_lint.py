@@ -302,13 +302,13 @@ class TestIpcProtocol:
 
     def test_sent_but_unhandled_flagged(self, tmp_path):
         source = IPC_MODULE + """
-    class ShmBackend(ProcessBackend):
-        def free(self, transport):
-            transport.send({"op": "arena_free"})
+    class PausingBackend(ProcessBackend):
+        def pause(self, transport):
+            transport.send({"op": "pause"})
 """
         findings = run_lint(tmp_path, source)
         assert rules_of(findings) == {"ipc-protocol"}
-        assert "arena_free" in findings[0].message
+        assert "pause" in findings[0].message
         assert "never matched" in findings[0].message
 
     def test_dead_handler_arm_flagged(self, tmp_path):
@@ -600,7 +600,7 @@ class TestSelfCheck:
     def test_real_ipc_module_has_both_sides(self):
         # Guard against the ipc checker silently disengaging from
         # remote.py (e.g. the role heuristic drifting): it must see
-        # traffic on both sides, including the shm data-plane ops.
+        # traffic on both sides, including the lifecycle ops.
         from repro.analysis.ipc import _collect
         from repro.analysis.core import SourceFile
 
@@ -608,7 +608,7 @@ class TestSelfCheck:
         source = SourceFile.load(remote, "src/repro/runtime/remote.py")
         sent, handled = _collect(source, ("Backend", "Supervisor"))
         assert "generate" in sent["supervisor"]
-        assert "arena_free" in sent["supervisor"]
+        assert "shutdown" in sent["supervisor"]
         assert "result" in sent["worker"]
         assert "hello" in sent["worker"]
         assert "generate" in handled["worker"]

@@ -1,6 +1,9 @@
 """Tests for the generation session: divergence, teacher forcing,
 realignment — driven by hand-constructed error events."""
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from repro.llm.errors import ErrorEvent
 from repro.llm.model import GenerationSession, TransparentLLM
 from repro.llm.tokenizer import EOS, SEP, tokenize_items
 
-from helpers import make_instance, make_racing_db
+from helpers import assert_traces_equal, make_instance, make_racing_db
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +246,53 @@ class TestTeacherForcedTraceAPI:
             assert list(trace.items) == list(inst.gold_items)
             for step in trace.steps:
                 assert step.is_branching == (step.proposed != step.committed)
+
+
+class TestTracePickling:
+    """A vectorized trace pickles its hidden stack once and unpickles
+    with every ``step.hidden`` a view of the loaded stack; any other
+    trace round-trips unchanged."""
+
+    def test_vectorized_trace_ships_the_stack_once(self, llm, bird_tiny):
+        from repro.core.pipeline import RTSPipeline
+
+        n_sized = 0
+        for example in bird_tiny.dev.examples:
+            inst = RTSPipeline.instance_for(example, bird_tiny, "column")
+            for trace in (llm.generate(inst), llm.teacher_forced_trace(inst)):
+                assert trace.hidden_stack is not None
+                payload = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
+                # A few hundred bytes of header and step metadata ride
+                # along; past a handful of steps they stay under 5%.
+                if len(trace.steps) >= 8:
+                    n_sized += 1
+                    assert len(payload) <= 1.05 * trace.hidden_matrix().nbytes
+                loaded = pickle.loads(payload)
+                assert_traces_equal(loaded, trace)
+                assert loaded.hidden_matrix().tobytes() == trace.hidden_matrix().tobytes()
+                for i, step in enumerate(loaded.steps):
+                    assert np.shares_memory(step.hidden, loaded.hidden_stack)
+                    assert step.hidden.tobytes() == loaded.hidden_stack[i].tobytes()
+        assert n_sized > 0
+
+    def test_step_by_step_trace_round_trips_unchanged(self, llm, db):
+        s = session_with(llm, db, ("races", "drivers"), [])
+        s.run_to_completion()
+        trace = s.trace()
+        assert trace.hidden_stack is None
+        loaded = pickle.loads(pickle.dumps(trace))
+        assert loaded.hidden_stack is None
+        assert_traces_equal(loaded, trace)
+
+    def test_rows_that_are_not_stack_views_round_trip_unchanged(self, llm, db):
+        trace = llm.generate(make_instance(db, ("races", "drivers")))
+        stack = trace.hidden_stack
+        # Rows copied out of the stack (and one that differs from it)
+        # are independent arrays: they must travel as they are.
+        steps = [replace(step, hidden=stack[i].copy()) for i, step in enumerate(trace.steps)]
+        steps[0].hidden[0, 0] += 1.0
+        odd = replace(trace, steps=steps)
+        loaded = pickle.loads(pickle.dumps(odd))
+        assert_traces_equal(loaded, odd)
+        assert loaded.hidden_stack.tobytes() == stack.tobytes()
+        assert not np.shares_memory(loaded.steps[0].hidden, loaded.hidden_stack)

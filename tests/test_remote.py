@@ -17,10 +17,10 @@ Pins down the tentpole guarantees:
   hanging them;
 * lifecycle: close() terminates the fleet (no worker outlives the
   backend), the backend restarts cleanly afterwards, and it pickles as
-  configuration only;
-* the shared-memory data plane engages by default on local workers,
-  stays byte-identical to inline pickling, falls back inline when
-  disabled / unoffered / undersized, and preserves crash recovery.
+  configuration only, and a socket-transport close() leaves no
+  acceptor thread behind;
+* results travel inline, byte-identical, with each received trace's
+  rows still views of its hidden stack.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from helpers import assert_traces_equal
@@ -40,7 +41,6 @@ from repro.core.pipeline import RTSPipeline
 from repro.llm.model import SIMULATOR_VERSION, TransparentLLM
 from repro.runtime.remote import (
     CHAOS_DELAY_ENV,
-    SHM_ARENA_ENV,
     ProcessBackend,
     WorkerCrashError,
     read_frame,
@@ -394,6 +394,29 @@ def test_socket_sigkill_one_worker_mid_batch_loses_nothing(
     assert wait_for_exit(victim)
 
 
+@pytest.mark.parametrize("transport", ["unix", "tcp"])
+def test_socket_close_is_prompt_and_leaves_no_acceptor(transport):
+    """close() wakes the acceptor blocked in accept() instead of waiting
+    out a join timeout, so no acceptor thread outlives the listener."""
+    backend = ProcessBackend(TransparentLLM(seed=11), workers=1, transport=transport)
+    assert len(backend.ping()) == 1
+    # close() on a helper thread, so a regression fails here instead of
+    # hanging the suite on the supervisor's untimed acceptor join.
+    closer = threading.Thread(target=backend.close)
+    start = time.monotonic()
+    closer.start()
+    closer.join(timeout=10)
+    elapsed = time.monotonic() - start
+    assert not closer.is_alive(), "close() hung"
+    leaked = [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name == "generation-supervisor-acceptor" and thread.is_alive()
+    ]
+    assert leaked == []
+    assert elapsed < 1.0, f"close() took {elapsed:.2f}s"
+
+
 def test_socket_workers_heartbeat():
     with ProcessBackend(
         TransparentLLM(seed=11), workers=1, transport="unix", heartbeat_s=0.05
@@ -661,73 +684,19 @@ def test_fleet_token_does_not_block_supervisor_spawned_workers(table_instances):
         )
 
 
-# -- shared-memory data plane --------------------------------------------------
+# -- inline data plane ---------------------------------------------------------
 
 
-def test_shm_data_plane_engages_and_stays_byte_identical(reference_traces):
+def test_inline_results_are_byte_identical_row_views(reference_traces):
+    """Result frames carry each hidden stack once: the received trace is
+    bit-identical and its rows are views of its own stack."""
     requests, reference = reference_traces
     with ProcessBackend(TransparentLLM(seed=11), workers=2) as backend:
         traces = backend.generate(requests)
-        stats = backend.stats
-    assert stats.n_shm_results > 0, f"arena never engaged: {stats}"
-    assert stats.n_shm_bytes > 0
     for want, got in zip(reference, traces):
         assert_traces_equal(got, want)
         assert got.hidden_matrix().tobytes() == want.hidden_matrix().tobytes()
-
-
-def test_shm_disabled_backend_is_inline_and_identical(reference_traces):
-    requests, reference = reference_traces
-    with ProcessBackend(
-        TransparentLLM(seed=11), workers=2, shared_memory=False
-    ) as backend:
-        traces = backend.generate(requests)
-        stats = backend.stats
-    assert stats.n_shm_results == 0 and stats.n_shm_bytes == 0
-    for want, got in zip(reference, traces):
-        assert_traces_equal(got, want)
-
-
-def test_worker_side_arena_opt_out_falls_back_inline(
-    reference_traces, monkeypatch
-):
-    monkeypatch.setenv(SHM_ARENA_ENV, "0")  # workers offer no arena at all
-    requests, reference = reference_traces
-    with ProcessBackend(TransparentLLM(seed=11), workers=1) as backend:
-        traces = backend.generate(requests)
-        stats = backend.stats
-    assert stats.n_shm_results == 0 and stats.n_shm_bytes == 0
-    for want, got in zip(reference, traces):
-        assert_traces_equal(got, want)
-
-
-def test_tiny_arena_falls_back_per_result(reference_traces, monkeypatch):
-    """Payloads that don't fit the arena ship inline, bit-identically."""
-    monkeypatch.setenv(SHM_ARENA_ENV, "4096")  # below every trace payload
-    requests, reference = reference_traces
-    with ProcessBackend(TransparentLLM(seed=11), workers=1) as backend:
-        traces = backend.generate(requests)
-        stats = backend.stats
-    assert stats.n_shm_results == 0, f"oversized payload used the arena: {stats}"
-    for want, got in zip(reference, traces):
-        assert_traces_equal(got, want)
-
-
-def test_shm_kill_one_worker_mid_batch_loses_nothing(
-    reference_traces, monkeypatch
-):
-    """Crash recovery under the shm data plane: the in-flight work of a
-    SIGKILLed worker requeues and every result stays byte-identical."""
-    monkeypatch.setenv(CHAOS_DELAY_ENV, "40")
-    requests, reference = reference_traces
-    with ProcessBackend(TransparentLLM(seed=11), workers=2) as backend:
-        victim = backend.ping()[0]
-        threading.Timer(0.2, os.kill, (victim, signal.SIGKILL)).start()
-        traces = backend.generate(requests)
-        stats = backend.stats
-    assert len(traces) == len(reference)
-    for want, got in zip(reference, traces):
-        assert_traces_equal(got, want)
-        assert got.hidden_matrix().tobytes() == want.hidden_matrix().tobytes()
-    assert stats.n_restarts >= 1 and stats.n_requeued >= 1
-    assert stats.n_duplicate_results == 0
+        assert got.hidden_stack is not None
+        for i, step in enumerate(got.steps):
+            assert np.shares_memory(step.hidden, got.hidden_stack)
+            assert step.hidden.tobytes() == got.hidden_stack[i].tobytes()

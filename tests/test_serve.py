@@ -453,6 +453,21 @@ def test_stats_exposes_latency_histograms(served):
     assert "memory" in latency["tiers"]  # the repeats were L1 hits
 
 
+def test_shutdown_does_not_wait_out_a_long_poll():
+    # No request reaches the app, so the server needs none.
+    server = ReproServer(("127.0.0.1", 0), app=None)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        time.sleep(0.02)  # the loop is inside its first poll
+        began = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - began < 0.25
+    finally:
+        server.server_close()
+        thread.join(timeout=10)
+
+
 def test_latency_histogram_percentiles_are_sane():
     from repro.runtime.serve import LatencyHistogram
 
